@@ -8,7 +8,8 @@ use spamward_greylist::{Greylist, GreylistConfig};
 use spamward_scanner::{Population, PopulationSpec};
 use spamward_sim::{DetRng, SimTime};
 use spamward_smtp::{
-    exchange, AcceptAll, ClientSession, Dialect, Envelope, Message, ReversePath, ServerSession,
+    drive, exchange, AcceptAll, ClientSession, Dialect, Envelope, LineCounter, Message,
+    ReversePath, ServerSession,
 };
 use std::net::Ipv4Addr;
 
@@ -20,23 +21,38 @@ fn bench_smtp_exchange(c: &mut Criterion) {
         .build();
     let message = Message::builder().header("Subject", "bench").body(&"x".repeat(1_000)).build();
 
+    let sessions = || {
+        (
+            ClientSession::new(
+                Dialect::compliant_mta("relay.example"),
+                envelope.clone(),
+                message.clone(),
+            ),
+            ServerSession::new("mx.foo.net", Ipv4Addr::new(203, 0, 113, 9)),
+        )
+    };
+
     let mut g = c.benchmark_group("smtp");
     g.throughput(Throughput::Elements(1));
+    // The same conversation observed two ways: rendered into a transcript,
+    // and only counted (what the simulated world does).
     g.bench_function("full_exchange_1kb_body", |b| {
         b.iter_batched(
-            || {
-                (
-                    ClientSession::new(
-                        Dialect::compliant_mta("relay.example"),
-                        envelope.clone(),
-                        message.clone(),
-                    ),
-                    ServerSession::new("mx.foo.net", Ipv4Addr::new(203, 0, 113, 9)),
-                )
-            },
+            sessions,
             |(mut client, mut server)| {
-                let mut policy = AcceptAll;
-                exchange(&mut client, &mut server, &mut policy, SimTime::ZERO)
+                exchange(&mut client, &mut server, &mut AcceptAll, SimTime::ZERO)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    g.bench_function("full_exchange_1kb_body_line_counter", |b| {
+        b.iter_batched(
+            sessions,
+            |(mut client, mut server)| {
+                let mut lines = LineCounter::default();
+                let outcome =
+                    drive(&mut client, &mut server, &mut AcceptAll, SimTime::ZERO, &mut lines);
+                (outcome, lines.lines())
             },
             BatchSize::SmallInput,
         )

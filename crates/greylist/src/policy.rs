@@ -359,6 +359,25 @@ impl Greylist {
         sender: &ReversePath,
         recipient: &EmailAddress,
     ) -> Result<Decision, StoreUnavailable> {
+        let key = self.key_for(client_ip, sender, recipient);
+        self.try_check_keyed(now, client_ip, client_rdns, recipient, key)
+    }
+
+    /// [`Greylist::try_check_with_rdns`] for a caller that already holds
+    /// the store key — which must be [`Greylist::key_for`] of the same
+    /// client, sender and recipient — so the key is derived once.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreUnavailable`], as for [`Greylist::try_check_with_rdns`].
+    pub fn try_check_keyed(
+        &mut self,
+        now: SimTime,
+        client_ip: Ipv4Addr,
+        client_rdns: Option<&str>,
+        recipient: &EmailAddress,
+        key: TripletKey,
+    ) -> Result<Decision, StoreUnavailable> {
         if self.config.whitelist_clients.matches_client(client_ip, client_rdns) {
             self.stats.passed_client_whitelist += 1;
             return Ok(Decision::Pass(PassReason::ClientWhitelisted));
@@ -379,7 +398,6 @@ impl Greylist {
             }
         }
 
-        let key = self.key_for(client_ip, sender, recipient);
         let delay = self.config.delay;
         let touch = self.store.touch(key, now, delay)?;
         // Log only after the store answered: an unavailable backend mutated

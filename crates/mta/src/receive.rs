@@ -567,19 +567,15 @@ impl ServerPolicy for ReceivingMta {
         if self.greylist_outage.iter().any(|w| w.contains(now)) {
             return self.degraded_rcpt();
         }
-        let sender = tx.mail_from.clone().unwrap_or(spamward_smtp::ReversePath::Null);
+        let null_sender = spamward_smtp::ReversePath::Null;
+        let sender = tx.mail_from.as_ref().unwrap_or(&null_sender);
         // 2b. The decision engine drives the store backend through the
         // `GreylistStore` trait; a remote backend inside a fault window
         // surfaces `StoreUnavailable`, which lands in the same
         // degradation path as an ambient outage.
-        let key = greylist.key_for(tx.client_ip, &sender, rcpt);
-        let verdict = greylist.try_check_with_rdns(
-            now,
-            tx.client_ip,
-            tx.client_rdns.as_deref(),
-            &sender,
-            rcpt,
-        );
+        let key = greylist.key_for(tx.client_ip, sender, rcpt);
+        let verdict =
+            greylist.try_check_keyed(now, tx.client_ip, tx.client_rdns.as_deref(), rcpt, key);
         match verdict {
             Err(_) => self.degraded_rcpt(),
             Ok(Decision::Pass(reason)) => {

@@ -15,7 +15,7 @@ use spamward_obs::{TimeSeries, Timeline};
 use spamward_sim::trace::Tracer;
 use spamward_sim::{DetRng, EngineStats, SimDuration, SimTime};
 use spamward_smtp::{
-    exchange, ClientSession, DeliveryOutcome, Dialect, Envelope, Message, ServerSession,
+    drive, ClientSession, DeliveryOutcome, Dialect, Envelope, LineCounter, Message, ServerSession,
 };
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -237,7 +237,7 @@ impl MailWorld {
     /// like every other occurrence.
     pub fn note_fault_boundary(&mut self, now: SimTime) {
         self.fault_boundaries += 1;
-        self.trace.record(now, TRACE_FAULT, "fault window boundary".to_owned());
+        self.trace.record_with(now, TRACE_FAULT, || "fault window boundary".to_owned());
         // Crash and restart edges are fault boundaries too: fire every
         // server's lifecycle transitions due at this instant, so restarts
         // (and their recovery) happen as engine events even on servers
@@ -268,7 +268,7 @@ impl MailWorld {
             match transition {
                 CrashTransition::Crashed { entries_in_memory } => {
                     let what = format!("crashed; {entries_in_memory} greylist entries in memory");
-                    self.trace.record(now, TRACE_FAULT, format!("{host}: {what}"));
+                    self.trace.record_with(now, TRACE_FAULT, || format!("{host}: {what}"));
                     if self.timeline.is_enabled() {
                         let track = self.crash_track(&host);
                         self.timeline.record_event(TL_MTA_CRASH, now, &track, what);
@@ -279,7 +279,7 @@ impl MailWorld {
                         "restarted; restored {restored} from checkpoint, \
                          replayed {replayed} wal records ({torn} torn), lost {lost}"
                     );
-                    self.trace.record(now, TRACE_FAULT, format!("{host}: {what}"));
+                    self.trace.record_with(now, TRACE_FAULT, || format!("{host}: {what}"));
                     if self.timeline.is_enabled() {
                         let track = self.crash_track(&host);
                         self.timeline.record_event(TL_MTA_RESTART, now, &track, what);
@@ -484,7 +484,7 @@ impl MailWorld {
         let mxs = match self.resolver.resolve_mx(&mut self.dns, domain, now) {
             Ok(mxs) => mxs,
             Err(e) => {
-                self.trace.record(now, TRACE_DNS_FAIL, format!("{domain}: {e}"));
+                self.trace.record_with(now, TRACE_DNS_FAIL, || format!("{domain}: {e}"));
                 if let Some(track) = &timeline_track {
                     self.timeline.record_event(TL_DNS, now, track, format!("{domain}: {e}"));
                 }
@@ -493,7 +493,8 @@ impl MailWorld {
                 return report;
             }
         };
-        self.trace.record(now, TRACE_DNS_MX, format!("{domain}: {} exchanger(s)", mxs.len()));
+        self.trace
+            .record_with(now, TRACE_DNS_MX, || format!("{domain}: {} exchanger(s)", mxs.len()));
         if let Some(track) = &timeline_track {
             self.timeline.record_event(
                 TL_DNS,
@@ -527,7 +528,9 @@ impl MailWorld {
                 Err(err) => {
                     let rtt = SimDuration::from_millis(100);
                     time_spent += err.client_cost(rtt);
-                    self.trace.record(now, TRACE_NET_FAIL, format!("{} ({ip}): {err}", cand.name));
+                    self.trace.record_with(now, TRACE_NET_FAIL, || {
+                        format!("{} ({ip}): {err}", cand.name)
+                    });
                     trail.push(MxAttempt {
                         mx: cand.name.clone(),
                         preference_rank,
@@ -553,11 +556,9 @@ impl MailWorld {
                         if let Some(server) = self.servers.get_mut(&ip) {
                             server.note_refused_connection();
                         }
-                        self.trace.record(
-                            now,
-                            TRACE_FAULT,
-                            format!("{} ({ip}): connection refused (mta down)", cand.name),
-                        );
+                        self.trace.record_with(now, TRACE_FAULT, || {
+                            format!("{} ({ip}): connection refused (mta down)", cand.name)
+                        });
                         trail.push(MxAttempt {
                             mx: cand.name.clone(),
                             preference_rank,
@@ -600,11 +601,9 @@ impl MailWorld {
                                 SmtpAbortKind::Tarpit => ("tarpitted", TARPIT_HOLD + conn.rtt),
                             };
                             time_spent += cost;
-                            self.trace.record(
-                                now,
-                                TRACE_FAULT,
-                                format!("{} ({ip}): {label}", cand.name),
-                            );
+                            self.trace.record_with(now, TRACE_FAULT, || {
+                                format!("{} ({ip}): {label}", cand.name)
+                            });
                             let outcome =
                                 DeliveryOutcome::connect_failed(envelope.recipients(), true);
                             return AttemptReport { outcome, mx_trail: trail, time_spent };
@@ -626,11 +625,9 @@ impl MailWorld {
                             server.note_session_dropped();
                         }
                         let what = format!("session dropped by crash at {crash_at}");
-                        self.trace.record(
-                            now,
-                            TRACE_FAULT,
-                            format!("{} ({ip}): {what}", cand.name),
-                        );
+                        self.trace.record_with(now, TRACE_FAULT, || {
+                            format!("{} ({ip}): {what}", cand.name)
+                        });
                         if let Some(track) = &timeline_track {
                             self.timeline.record_event(TL_MTA_CRASH, now, track, what);
                         }
@@ -643,22 +640,19 @@ impl MailWorld {
                         let outcome = DeliveryOutcome::connect_failed(envelope.recipients(), true);
                         return AttemptReport { outcome, mx_trail: trail, time_spent };
                     };
-                    let mut client =
-                        ClientSession::new(dialect.clone(), envelope.clone(), message.clone());
-                    let hostname = server_mta.hostname().to_owned();
-                    let rdns = client_rdns.clone();
                     let mut session =
-                        ServerSession::new(&hostname, envelope.client_ip()).with_client_rdns(rdns);
-                    let (outcome, transcript) =
-                        exchange(&mut client, &mut session, server_mta, now + conn.rtt);
+                        ServerSession::new(server_mta.hostname(), envelope.client_ip())
+                            .with_client_rdns(client_rdns);
+                    let mut client = ClientSession::new(dialect.clone(), envelope, message);
+                    let mut lines = LineCounter::default();
+                    let outcome =
+                        drive(&mut client, &mut session, server_mta, now + conn.rtt, &mut lines);
                     server_mta.absorb_smtp(session.metrics());
-                    // Rough time accounting: one RTT per protocol exchange.
-                    time_spent += conn.rtt * (transcript.entries().len() as u64);
-                    self.trace.record(
-                        now,
-                        TRACE_SMTP_OUTCOME,
-                        format!("{} via {}: {}", envelope, cand.name, outcome),
-                    );
+                    // Rough time accounting: one RTT per transcript line.
+                    time_spent += conn.rtt * (lines.lines() as u64);
+                    self.trace.record_with(now, TRACE_SMTP_OUTCOME, || {
+                        format!("{} via {}: {}", client.envelope(), cand.name, outcome)
+                    });
                     if let Some(track) = &timeline_track {
                         self.note_timeline_outcome(now, track, &outcome);
                     }

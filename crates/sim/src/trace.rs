@@ -90,6 +90,13 @@ impl Tracer {
 
     /// Records an event (no-op when disabled).
     pub fn record(&mut self, at: SimTime, category: &str, detail: impl Into<String>) {
+        self.record_with(at, category, || detail.into());
+    }
+
+    /// Records an event whose detail is built by `detail` — called only
+    /// when the event is retained, so a disabled tracer (or one of
+    /// capacity zero) formats nothing.
+    pub fn record_with(&mut self, at: SimTime, category: &str, detail: impl FnOnce() -> String) {
         if !self.enabled {
             return;
         }
@@ -101,11 +108,7 @@ impl Tracer {
             self.events.pop_front();
             self.dropped += 1;
         }
-        self.events.push_back(TraceEvent {
-            at,
-            category: category.to_owned(),
-            detail: detail.into(),
-        });
+        self.events.push_back(TraceEvent { at, category: category.to_owned(), detail: detail() });
     }
 
     /// The retained events, oldest first.
@@ -197,6 +200,21 @@ mod tests {
         assert_eq!(tr.events().len(), 0);
         assert_eq!(tr.dropped(), 0);
         assert!(!tr.is_enabled());
+    }
+
+    #[test]
+    fn record_with_builds_the_detail_only_when_retained() {
+        let mut off = Tracer::disabled();
+        off.record_with(t(1), "c", || unreachable!("a disabled tracer must not build the detail"));
+        assert_eq!((off.events().len(), off.dropped()), (0, 0));
+
+        let mut counting = Tracer::with_capacity(0);
+        counting.record_with(t(1), "c", || unreachable!("capacity 0 retains nothing"));
+        assert_eq!(counting.dropped(), 1, "capacity 0 still counts the event");
+
+        let mut on = Tracer::new();
+        on.record_with(t(2), "c", || "y".to_owned());
+        assert_eq!(on.events().next().map(|e| e.detail.as_str()), Some("y"));
     }
 
     #[test]

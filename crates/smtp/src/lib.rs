@@ -15,8 +15,10 @@
 //! * [`ClientSession`] — the sending state machine, parameterized by a
 //!   [`Dialect`] so both compliant MTAs and sloppy bot senders can be
 //!   expressed.
-//! * [`exchange`] — a lock-step driver running a client against a server,
-//!   producing a [`DeliveryOutcome`] and a transcript.
+//! * [`drive`] — the one lock-step driver running a client against a
+//!   server, reporting each line to a [`SessionObserver`]: a [`Transcript`]
+//!   records the conversation ([`exchange`]), a [`LineCounter`] only counts
+//!   it, and [`exchange_pipelined`] counts RFC 2920 round trips.
 //!
 //! The engine is transport-agnostic: the simulation couples sessions
 //! directly, and a transcript of either side is plain text.
@@ -35,6 +37,7 @@ pub mod metrics;
 pub mod reply;
 mod server;
 pub mod tcp;
+mod transcript;
 mod wire;
 
 pub use address::{EmailAddress, ParseAddressError, ReversePath};
@@ -48,4 +51,8 @@ pub use reply::{Reply, ReplyCategory};
 pub use server::{
     AcceptAll, PolicyDecision, ServerPolicy, ServerSession, SessionState, Transaction,
 };
-pub use wire::{dot_stuff, dot_unstuff, exchange, exchange_pipelined, Transcript, TranscriptEntry};
+pub use transcript::{Transcript, TranscriptEntry};
+pub use wire::{
+    dot_stuff, dot_unstuff, drive, exchange, exchange_pipelined, LineCounter, SessionEvent,
+    SessionObserver,
+};

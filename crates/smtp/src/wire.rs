@@ -1,11 +1,13 @@
-//! Wire helpers: dot-stuffing and the lock-step client/server driver.
+//! Wire helpers: dot-stuffing and the lock-step client/server driver with
+//! its counting observers.
 
 use crate::client::{ClientAction, ClientSession, DeliveryOutcome};
-use crate::dialect::DialectFingerprint;
+use crate::command::Command;
 use crate::extensions::Capabilities;
+use crate::reply::Reply;
 use crate::server::{ServerPolicy, ServerSession};
+use crate::transcript::Transcript;
 use spamward_sim::SimTime;
-use std::fmt;
 
 /// Applies RFC 5321 §4.5.2 dot-stuffing: any body line beginning with `.`
 /// gets one extra leading `.`, and the terminating `<CRLF>.<CRLF>` is
@@ -63,254 +65,108 @@ pub fn dot_unstuff(wire: &str) -> Option<String> {
     Some(out)
 }
 
-/// Normalizes a body exactly the way a DATA round trip does: dot-stuffs
-/// and immediately unstuffs it. Infallible because [`dot_stuff`] always
-/// appends the terminator [`dot_unstuff`] requires.
-fn dot_roundtrip(body: &str) -> String {
-    dot_unstuff(&dot_stuff(body)).unwrap_or_default()
+/// One line of a conversation, in wire order, as [`drive`] runs it.
+#[derive(Debug, Clone, Copy)]
+pub enum SessionEvent<'a> {
+    /// An early talker's first bytes raced the banner.
+    Pregreet,
+    /// The client sent a command.
+    Command(&'a Command),
+    /// The client sent the message body (before dot-stuffing).
+    Body(&'a str),
+    /// The server answered; the banner comes first.
+    Reply(&'a Reply),
 }
 
-/// Which side of the connection produced a transcript line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TranscriptEntry {
-    /// Client → server.
-    ClientToServer,
-    /// Server → client.
-    ServerToClient,
+/// Watches a conversation [`drive`] runs. An observer renders nothing
+/// unless it wants to: [`Transcript`] records text, [`LineCounter`] counts.
+pub trait SessionObserver {
+    /// Called once per line, in wire order.
+    fn observe(&mut self, event: SessionEvent<'_>);
 }
 
-/// A recorded SMTP conversation, one line per exchange.
-#[derive(Debug, Clone, Default)]
-pub struct Transcript {
-    entries: Vec<(TranscriptEntry, String)>,
+/// Counts the lines a [`Transcript`] of the same conversation would hold
+/// without rendering any: the banner, one for an early talker's pregreet,
+/// and two per command or body (the client line and its reply).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LineCounter(usize);
+
+impl LineCounter {
+    /// Lines observed so far.
+    pub fn lines(&self) -> usize {
+        self.0
+    }
 }
 
-impl Transcript {
-    /// All entries in order.
-    pub fn entries(&self) -> &[(TranscriptEntry, String)] {
-        &self.entries
+impl SessionObserver for LineCounter {
+    fn observe(&mut self, _: SessionEvent<'_>) {
+        self.0 += 1;
     }
+}
 
-    /// The client lines only.
-    pub fn client_lines(&self) -> impl Iterator<Item = &str> {
-        self.entries
-            .iter()
-            .filter(|(d, _)| *d == TranscriptEntry::ClientToServer)
-            .map(|(_, s)| s.as_str())
-    }
+/// Counts client→server round trips under RFC 2920 PIPELINING: the banner,
+/// the greeting, then — when the greeting was EHLO and its reply
+/// advertises PIPELINING — one charge for the whole MAIL..RCPT..DATA batch
+/// (closed by the body or a QUIT), one per command otherwise.
+#[derive(Debug, Default)]
+struct PipelinedRoundTrips {
+    round_trips: usize,
+    replies: usize,
+    greeted_with_ehlo: bool,
+    /// `Some(charged)` while a pipelined batch is open.
+    batch: Option<bool>,
+}
 
-    /// The server lines only.
-    pub fn server_lines(&self) -> impl Iterator<Item = &str> {
-        self.entries
-            .iter()
-            .filter(|(d, _)| *d == TranscriptEntry::ServerToClient)
-            .map(|(_, s)| s.as_str())
-    }
-
-    fn push(&mut self, dir: TranscriptEntry, line: impl Into<String>) {
-        self.entries.push((dir, line.into()));
-    }
-
-    /// Infers the sender's behavioural fingerprint from the observed
-    /// conversation alone — the B@bel idea (Stringhini et al., USENIX
-    /// Security 2012) the paper builds on.
-    ///
-    /// Works best on transcripts that contain a failure (a greylisted
-    /// RCPT): that is where polite MTAs and fire-and-forget bots diverge.
-    /// When the transcript carries no disambiguating signal, a feature
-    /// defaults to the compliant value.
-    pub fn fingerprint(&self) -> DialectFingerprint {
-        let mut greets_with_ehlo = false;
-        let mut helo_is_literal = false;
-        let mut early_talker = false;
-        let mut quits = false;
-        let mut saw_rcpt_failure = false;
-        let mut acted_after_rcpt_failure = false;
-        let mut greeting_seen = false;
-        let mut last_client_verb: Option<String> = None;
-
-        for (dir, line) in &self.entries {
-            match dir {
-                TranscriptEntry::ClientToServer => {
-                    if line == "<talks before banner>" {
-                        early_talker = true;
-                        continue;
-                    }
-                    let upper = line.to_ascii_uppercase();
-                    let verb = upper.split_whitespace().next().unwrap_or("").to_owned();
-                    if !greeting_seen && (verb == "EHLO" || verb == "HELO") {
-                        greeting_seen = true;
-                        greets_with_ehlo = verb == "EHLO";
-                        if line.split_whitespace().nth(1).is_some_and(|a| a.starts_with('[')) {
-                            helo_is_literal = true;
-                        }
-                    }
-                    if verb == "QUIT" {
-                        quits = true;
-                    }
-                    if saw_rcpt_failure && (verb == "RCPT" || verb == "DATA") {
-                        acted_after_rcpt_failure = true;
-                    }
-                    last_client_verb = Some(verb);
+impl SessionObserver for PipelinedRoundTrips {
+    fn observe(&mut self, event: SessionEvent<'_>) {
+        match event {
+            SessionEvent::Pregreet => {}
+            SessionEvent::Command(cmd) => {
+                if self.replies == 1 {
+                    self.greeted_with_ehlo = matches!(cmd, Command::Ehlo { .. });
                 }
-                TranscriptEntry::ServerToClient => {
-                    let code: u16 = line.get(..3).and_then(|c| c.parse().ok()).unwrap_or(0);
-                    if (400..600).contains(&code) && last_client_verb.as_deref() == Some("RCPT") {
-                        saw_rcpt_failure = true;
+                match self.batch {
+                    // Rides along in the already-charged batch.
+                    Some(true) => {}
+                    Some(false) => {
+                        self.round_trips += 1;
+                        self.batch = Some(true);
+                    }
+                    None => self.round_trips += 1,
+                }
+                if matches!(cmd, Command::Quit) {
+                    self.batch = None;
+                }
+            }
+            SessionEvent::Body(_) => {
+                self.round_trips += 1;
+                self.batch = None;
+            }
+            SessionEvent::Reply(reply) => {
+                self.replies += 1;
+                if self.replies == 1 {
+                    self.round_trips += 1;
+                } else if self.replies == 2 && self.greeted_with_ehlo {
+                    let caps = reply.lines().iter().skip(1).map(String::as_str);
+                    if Capabilities::from_ehlo_lines(caps).pipelining {
+                        self.batch = Some(false);
                     }
                 }
             }
         }
-
-        DialectFingerprint {
-            greets_with_ehlo,
-            helo_is_literal,
-            quits_politely: quits,
-            retries_remaining_rcpts: !saw_rcpt_failure || acted_after_rcpt_failure,
-            early_talker,
-        }
     }
 }
 
-impl fmt::Display for Transcript {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (dir, line) in &self.entries {
-            let arrow = match dir {
-                TranscriptEntry::ClientToServer => "C>",
-                TranscriptEntry::ServerToClient => "S<",
-            };
-            writeln!(f, "{arrow} {line}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Runs one delivery through the RFC 2920 PIPELINING fast path: the
-/// client batches `MAIL FROM`, every `RCPT TO` and `DATA` into a single
-/// send, then reads all the replies at once. Falls back to the lock-step
-/// [`exchange`] when the server does not advertise PIPELINING.
-///
-/// Returns the outcome plus the number of client→server *round trips* the
-/// conversation cost — the quantity pipelining exists to minimize (and a
-/// cost-accounting input: greylisting forces a second full conversation,
-/// pipelined or not).
-///
-/// # Panics
-///
-/// Panics on a conversation exceeding 10 000 steps, like [`exchange`].
-pub fn exchange_pipelined(
-    client: &mut ClientSession,
-    server: &mut ServerSession,
-    policy: &mut dyn ServerPolicy,
-    now: SimTime,
-) -> (DeliveryOutcome, usize) {
-    // Round trip 1: banner.
-    let mut round_trips = 1usize;
-    let banner = if client.dialect().waits_for_banner {
-        server.open(now, policy)
-    } else {
-        server.open_pregreeted(now, policy)
-    };
-
-    // Round trip 2: greeting (EHLO), which reveals whether the server
-    // pipelines.
-    let mut reply = banner;
-    let mut action = client.on_reply(&reply);
-    let ClientAction::Send(greeting) = action else {
-        // Banner was fatal; finish through the lock-step path.
-        loop {
-            match action {
-                ClientAction::Send(cmd) => {
-                    reply = if server.is_closed() {
-                        crate::reply::Reply::service_unavailable("closed")
-                    } else {
-                        server.handle(now, &cmd, policy)
-                    };
-                    round_trips += 1;
-                }
-                // The client state machine never emits a body before a
-                // 354, which cannot precede the greeting; if it somehow
-                // does, answer like a real server would.
-                ClientAction::SendBody(_) => {
-                    reply = crate::reply::Reply::bad_sequence();
-                    round_trips += 1;
-                }
-                ClientAction::Close(outcome) => return (outcome, round_trips),
-            }
-            action = client.on_reply(&reply);
-        }
-    };
-    reply = server.handle(now, &greeting, policy);
-    round_trips += 1;
-
-    if !client.dialect().uses_ehlo
-        || !Capabilities::from_ehlo_lines(reply.lines().iter().skip(1).map(String::as_str))
-            .pipelining
-    {
-        // No pipelining: drain the rest through the lock-step driver
-        // logic (replies one at a time).
-        loop {
-            match client.on_reply(&reply) {
-                ClientAction::Send(cmd) => {
-                    reply = if server.is_closed() {
-                        crate::reply::Reply::service_unavailable("closed")
-                    } else {
-                        server.handle(now, &cmd, policy)
-                    };
-                    round_trips += 1;
-                }
-                ClientAction::SendBody(body) => {
-                    let unstuffed = dot_roundtrip(&body);
-                    reply = server.handle_data_body(now, &unstuffed, policy);
-                    round_trips += 1;
-                }
-                ClientAction::Close(outcome) => return (outcome, round_trips),
-            }
-        }
-    }
-
-    // PIPELINED: the client state machine still produces commands one at a
-    // time, but the wire batches them. We emulate the batch by serving
-    // each queued command immediately (the server processes the batch in
-    // order) while charging only ONE round trip for the whole
-    // MAIL..RCPT..DATA group, and one more for the body.
-    let mut in_batch = true;
-    let mut batch_charged = false;
-    for _ in 0..10_000 {
-        match client.on_reply(&reply) {
-            ClientAction::Send(cmd) => {
-                let is_quit = matches!(cmd, crate::Command::Quit);
-                reply = if server.is_closed() {
-                    crate::reply::Reply::service_unavailable("closed")
-                } else {
-                    server.handle(now, &cmd, policy)
-                };
-                if in_batch {
-                    if !batch_charged {
-                        round_trips += 1; // the whole MAIL..DATA batch
-                        batch_charged = true;
-                    }
-                } else {
-                    round_trips += 1;
-                }
-                if is_quit {
-                    in_batch = false;
-                }
-            }
-            ClientAction::SendBody(body) => {
-                in_batch = false;
-                let unstuffed = dot_roundtrip(&body);
-                reply = server.handle_data_body(now, &unstuffed, policy);
-                round_trips += 1;
-            }
-            ClientAction::Close(outcome) => return (outcome, round_trips),
-        }
-    }
-    panic!("pipelined SMTP exchange did not terminate within 10000 steps");
+/// What the server reads for a DATA `body` once the client has dot-stuffed
+/// it and the server un-stuffed it: the body minus one trailing CRLF (both
+/// forms are the same wire bytes), i.e. `dot_unstuff(&dot_stuff(body))`
+/// without building either string.
+fn data_payload(body: &str) -> &str {
+    body.strip_suffix("\r\n").unwrap_or(body)
 }
 
 /// Runs a [`ClientSession`] against a [`ServerSession`] to completion,
-/// returning the delivery outcome and the full conversation transcript.
+/// telling `observer` every line, and returns the delivery outcome.
 ///
 /// The driver is lock-step: every client command gets exactly one server
 /// reply. Transport-level failures (refused/timed-out connections) never
@@ -321,6 +177,52 @@ pub fn exchange_pipelined(
 ///
 /// Panics if the conversation exceeds 10 000 exchanges (a state-machine
 /// bug, not a realistic session).
+pub fn drive(
+    client: &mut ClientSession,
+    server: &mut ServerSession,
+    policy: &mut dyn ServerPolicy,
+    now: SimTime,
+    observer: &mut impl SessionObserver,
+) -> DeliveryOutcome {
+    let mut reply = if client.dialect().waits_for_banner {
+        server.open(now, policy)
+    } else {
+        // Early talker: the client's first bytes race the banner; the
+        // server's pregreet hook gets to veto before anything else.
+        observer.observe(SessionEvent::Pregreet);
+        server.open_pregreeted(now, policy)
+    };
+    observer.observe(SessionEvent::Reply(&reply));
+
+    for _ in 0..10_000 {
+        reply = match client.on_reply(&reply) {
+            ClientAction::Send(cmd) => {
+                observer.observe(SessionEvent::Command(&cmd));
+                if server.is_closed() {
+                    // Server hung up (e.g. rejected at connect); treat any
+                    // further client talk as into-the-void and finish.
+                    Reply::service_unavailable("closed")
+                } else {
+                    server.handle(now, &cmd, policy)
+                }
+            }
+            ClientAction::SendBody(body) => {
+                observer.observe(SessionEvent::Body(&body));
+                server.handle_data_body(now, data_payload(&body), policy)
+            }
+            ClientAction::Close(outcome) => return outcome,
+        };
+        observer.observe(SessionEvent::Reply(&reply));
+    }
+    panic!("SMTP exchange did not terminate within 10000 steps");
+}
+
+/// [`drive`] with a [`Transcript`]: returns the outcome and the full
+/// conversation.
+///
+/// # Panics
+///
+/// Panics on a conversation exceeding 10 000 steps, like [`drive`].
 pub fn exchange(
     client: &mut ClientSession,
     server: &mut ServerSession,
@@ -328,46 +230,32 @@ pub fn exchange(
     now: SimTime,
 ) -> (DeliveryOutcome, Transcript) {
     let mut transcript = Transcript::default();
-    let mut reply = if client.dialect().waits_for_banner {
-        server.open(now, policy)
-    } else {
-        // Early talker: the client's first bytes race the banner; the
-        // server's pregreet hook gets to veto before anything else.
-        transcript.push(TranscriptEntry::ClientToServer, "<talks before banner>".to_owned());
-        server.open_pregreeted(now, policy)
-    };
-    transcript.push(TranscriptEntry::ServerToClient, reply.to_wire().trim_end().to_owned());
+    let outcome = drive(client, server, policy, now, &mut transcript);
+    (outcome, transcript)
+}
 
-    for _ in 0..10_000 {
-        match client.on_reply(&reply) {
-            ClientAction::Send(cmd) => {
-                transcript
-                    .push(TranscriptEntry::ClientToServer, cmd.to_wire().trim_end().to_owned());
-                if server.is_closed() {
-                    // Server hung up (e.g. rejected at connect); treat any
-                    // further client talk as into-the-void and finish.
-                    reply = crate::reply::Reply::service_unavailable("closed");
-                } else {
-                    reply = server.handle(now, &cmd, policy);
-                }
-                transcript
-                    .push(TranscriptEntry::ServerToClient, reply.to_wire().trim_end().to_owned());
-            }
-            ClientAction::SendBody(body) => {
-                let stuffed = dot_stuff(&body);
-                transcript.push(
-                    TranscriptEntry::ClientToServer,
-                    format!("<{} bytes of data>", stuffed.len()),
-                );
-                let unstuffed = dot_roundtrip(&body);
-                reply = server.handle_data_body(now, &unstuffed, policy);
-                transcript
-                    .push(TranscriptEntry::ServerToClient, reply.to_wire().trim_end().to_owned());
-            }
-            ClientAction::Close(outcome) => return (outcome, transcript),
-        }
-    }
-    panic!("SMTP exchange did not terminate within 10000 steps");
+/// Runs one delivery as an RFC 2920 PIPELINING client: `MAIL FROM`, every
+/// `RCPT TO` and `DATA` go out as one batch when the server advertises
+/// PIPELINING, lock-step otherwise. The server sees the same commands in
+/// the same order either way, so the outcome equals [`exchange`]'s.
+///
+/// Returns the outcome plus the number of client→server *round trips* the
+/// conversation cost — the quantity pipelining exists to minimize (and a
+/// cost-accounting input: greylisting forces a second full conversation,
+/// pipelined or not).
+///
+/// # Panics
+///
+/// Panics on a conversation exceeding 10 000 steps, like [`drive`].
+pub fn exchange_pipelined(
+    client: &mut ClientSession,
+    server: &mut ServerSession,
+    policy: &mut dyn ServerPolicy,
+    now: SimTime,
+) -> (DeliveryOutcome, usize) {
+    let mut counter = PipelinedRoundTrips::default();
+    let outcome = drive(client, server, policy, now, &mut counter);
+    (outcome, counter.round_trips)
 }
 
 #[cfg(test)]
@@ -567,12 +455,122 @@ mod tests {
         assert!(fp.looks_like_mta());
     }
 
+    /// Tempfails the first RCPT of every transaction and accepts the rest.
+    struct GreylistOnlyFirstRcpt;
+    impl ServerPolicy for GreylistOnlyFirstRcpt {
+        fn on_rcpt(
+            &mut self,
+            _: SimTime,
+            tx: &Transaction,
+            _: &crate::address::EmailAddress,
+        ) -> PolicyDecision {
+            if tx.recipients.is_empty() {
+                PolicyDecision::TempFail(Reply::greylisted(300))
+            } else {
+                PolicyDecision::Accept
+            }
+        }
+    }
+
+    struct RejectPregreet;
+    impl ServerPolicy for RejectPregreet {
+        fn on_pregreet(&mut self, _: SimTime, _: Ipv4Addr) -> PolicyDecision {
+            PolicyDecision::Reject(Reply::single(554, "5.5.1 talked too soon"))
+        }
+    }
+
+    /// The counting observers agree with the transcript, and no observer
+    /// changes what the server sees: every dialect against every policy.
+    #[test]
+    fn observers_agree_with_the_transcript() {
+        let early_talker =
+            Dialect { waits_for_banner: false, ..Dialect::compliant_mta("relay.example") };
+        let dialects =
+            [Dialect::compliant_mta("relay.example"), Dialect::minimal_bot("bot"), early_talker];
+        let policy = |i: usize| -> Box<dyn ServerPolicy> {
+            match i {
+                0 => Box::new(AcceptAll),
+                1 => Box::new(GreylistOnlyFirstRcpt),
+                2 => Box::new(RejectBanner),
+                _ => Box::new(RejectPregreet),
+            }
+        };
+        for dialect in &dialects {
+            for rcpts in [&["u@foo.net"][..], &["a@foo.net", "b@foo.net", "c@foo.net"]] {
+                for p in 0..4 {
+                    let session = || {
+                        (
+                            ClientSession::new(dialect.clone(), env(rcpts), msg()),
+                            ServerSession::new("mx.foo.net", Ipv4Addr::new(203, 0, 113, 9)),
+                        )
+                    };
+                    let (mut c1, mut s1) = session();
+                    let (outcome, transcript) =
+                        exchange(&mut c1, &mut s1, &mut *policy(p), SimTime::ZERO);
+                    let (mut c2, mut s2) = session();
+                    let mut counter = LineCounter::default();
+                    let counted =
+                        drive(&mut c2, &mut s2, &mut *policy(p), SimTime::ZERO, &mut counter);
+                    let (mut c3, mut s3) = session();
+                    let (pipelined, _) =
+                        exchange_pipelined(&mut c3, &mut s3, &mut *policy(p), SimTime::ZERO);
+                    let case = format!("{} x {} rcpt(s) x policy {p}", dialect.name, rcpts.len());
+                    assert_eq!(counter.lines(), transcript.entries().len(), "{case}");
+                    assert_eq!(counted, outcome, "{case}");
+                    assert_eq!(pipelined, outcome, "{case}");
+                    assert_eq!(s2.accepted(), s1.accepted(), "{case}");
+                    assert_eq!(s3.accepted(), s1.accepted(), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn line_count_matches_the_historic_charge() {
+        // Banner, then two lines per command or body: EHLO, MAIL, RCPT,
+        // DATA, body, QUIT.
+        let mut client =
+            ClientSession::new(Dialect::compliant_mta("relay.example"), env(&["u@foo.net"]), msg());
+        let mut server = ServerSession::new("mx.foo.net", Ipv4Addr::new(203, 0, 113, 9));
+        let mut counter = LineCounter::default();
+        let outcome = drive(&mut client, &mut server, &mut AcceptAll, SimTime::ZERO, &mut counter);
+        assert!(outcome.is_delivered());
+        assert_eq!(counter.lines(), 1 + 2 * 6);
+    }
+
+    /// Every string of length <= 7 over the characters that matter to
+    /// dot-stuffing: the borrowed payload is exactly the DATA round trip.
+    #[test]
+    fn data_payload_is_the_dot_roundtrip_exhaustively() {
+        let alphabet = ['.', 'a', '\r', '\n'];
+        let mut bodies = vec![String::new()];
+        let mut checked = 0;
+        for _ in 0..=7 {
+            for body in &bodies {
+                let roundtrip = dot_unstuff(&dot_stuff(body)).unwrap();
+                assert_eq!(data_payload(body), roundtrip, "{body:?}");
+                checked += 1;
+            }
+            bodies = bodies
+                .iter()
+                .flat_map(|b| alphabet.iter().map(move |c| format!("{b}{c}")))
+                .collect();
+        }
+        assert_eq!(checked, (0..=7).map(|n| 4usize.pow(n)).sum::<usize>());
+    }
+
     proptest! {
         #[test]
-        fn prop_dot_roundtrip(body in "[a-zA-Z0-9. ]{0,120}") {
-            let normalized = body.replace('\n', "");
-            let stuffed = dot_stuff(&normalized);
+        fn prop_dot_roundtrip(body in "[a-zA-Z0-9.\r\n ]{0,120}") {
+            // SMTP cannot carry a trailing CRLF; every other body survives.
+            let normalized = body.trim_end_matches("\r\n");
+            let stuffed = dot_stuff(normalized);
             prop_assert_eq!(dot_unstuff(&stuffed).unwrap(), normalized);
+        }
+
+        #[test]
+        fn prop_data_payload_is_the_dot_roundtrip(body in "[.a\r\n ]{0,60}") {
+            prop_assert_eq!(data_payload(&body), dot_unstuff(&dot_stuff(&body)).unwrap());
         }
 
         #[test]
