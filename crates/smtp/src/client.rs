@@ -135,8 +135,9 @@ impl fmt::Display for DeliveryOutcome {
 pub enum ClientAction {
     /// Send this command and wait for a reply.
     Send(Command),
-    /// Send the (dot-stuffed) message body and wait for a reply.
-    SendBody(String),
+    /// Send the message body ([`ClientSession::take_message`]) and wait
+    /// for a reply.
+    SendBody,
     /// Close the connection; the attempt is finished.
     Close(DeliveryOutcome),
 }
@@ -223,6 +224,12 @@ impl ClientSession {
     /// The dialect in use.
     pub fn dialect(&self) -> &Dialect {
         &self.dialect
+    }
+
+    /// Moves the message out for the DATA body, after
+    /// [`ClientAction::SendBody`]; the session keeps an empty message.
+    pub fn take_message(&mut self) -> Message {
+        std::mem::take(&mut self.message)
     }
 
     /// The extensions the server advertised (empty until EHLO succeeds).
@@ -382,7 +389,7 @@ impl ClientSession {
                     return self.fail(FailStage::Data, reply);
                 }
                 self.state = State::SentBody;
-                ClientAction::SendBody(self.message.to_wire())
+                ClientAction::SendBody
             }
             State::SentBody => {
                 if !reply.is_positive() {
@@ -454,7 +461,8 @@ mod tests {
         let a = c.on_reply(&Reply::ok());
         assert_eq!(a, ClientAction::Send(Command::Data));
         let a = c.on_reply(&Reply::start_mail_input());
-        assert!(matches!(a, ClientAction::SendBody(_)));
+        assert_eq!(a, ClientAction::SendBody);
+        assert_eq!(c.take_message(), msg());
         let a = c.on_reply(&Reply::single(250, "queued"));
         assert_eq!(a, ClientAction::Send(Command::Quit));
         let a = c.on_reply(&Reply::bye("mx.foo.net"));

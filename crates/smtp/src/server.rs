@@ -140,9 +140,10 @@ impl ServerPolicy for AcceptAll {}
 /// The receiving-side state machine for one TCP session.
 ///
 /// Drive it with [`ServerSession::open`] once, then [`ServerSession::handle`]
-/// per command (and [`ServerSession::handle_data_body`] for the body after a
-/// 354). The session enforces RFC 5321 command sequencing itself; policy
-/// hooks only see well-ordered events.
+/// per command, and after a 354 [`ServerSession::handle_message`] for a
+/// message handed over in memory or [`ServerSession::handle_data_body`] for
+/// one read off the wire. The session enforces RFC 5321 command sequencing
+/// itself; policy hooks only see well-ordered events.
 ///
 /// # Example
 ///
@@ -378,7 +379,9 @@ impl ServerSession {
         }
     }
 
-    /// Handles the message body after a 354, ending the transaction.
+    /// Handles the message body read off the wire after a 354, ending the
+    /// transaction: parses it and runs the same acceptance as
+    /// [`ServerSession::handle_message`].
     ///
     /// `body_wire` is the already dot-unstuffed message text.
     ///
@@ -391,8 +394,43 @@ impl ServerSession {
         body_wire: &str,
         policy: &mut dyn ServerPolicy,
     ) -> Reply {
+        let parse = || {
+            Message::from_wire(body_wire).unwrap_or_else(|| {
+                // Bots sometimes send header-less junk; store it as a bare body.
+                Message::builder().body(body_wire).build()
+            })
+        };
+        self.finish_data(now, body_wire.len(), parse, policy)
+    }
+
+    /// Handles a message handed over in memory after a 354, ending the
+    /// transaction — the in-process twin of
+    /// [`ServerSession::handle_data_body`], with no wire text in between.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a 354 was just issued.
+    pub fn handle_message(
+        &mut self,
+        now: SimTime,
+        message: Message,
+        policy: &mut dyn ServerPolicy,
+    ) -> Reply {
+        // The wire payload is the message minus its last CRLF, which the
+        // terminating dot line supplies.
+        let payload_len = message.size() - 2;
+        self.finish_data(now, payload_len, || message, policy)
+    }
+
+    fn finish_data(
+        &mut self,
+        now: SimTime,
+        payload_len: usize,
+        message: impl FnOnce() -> Message,
+        policy: &mut dyn ServerPolicy,
+    ) -> Reply {
         assert_eq!(self.state, SessionState::ReadingData, "no DATA in progress");
-        let reply = self.data_body_inner(now, body_wire, policy);
+        let reply = self.data_body_inner(now, payload_len, message, policy);
         self.metrics.on_reply(&reply);
         reply
     }
@@ -400,42 +438,35 @@ impl ServerSession {
     fn data_body_inner(
         &mut self,
         now: SimTime,
-        body_wire: &str,
+        payload_len: usize,
+        message: impl FnOnce() -> Message,
         policy: &mut dyn ServerPolicy,
     ) -> Reply {
+        // The transaction ends here whatever the outcome; its sender and
+        // recipients move into the envelope.
+        self.state = SessionState::Ready;
+        let mail_from = self.tx.mail_from.take();
+        let recipients = std::mem::take(&mut self.tx.recipients);
         if let Some(limit) = self.capabilities.size_limit {
-            if body_wire.len() as u64 > limit {
-                self.state = SessionState::Ready;
-                self.tx.reset_mail();
+            if payload_len as u64 > limit {
                 return Reply::single(
                     codes::SIZE_EXCEEDED,
                     "5.3.4 Message size exceeds fixed maximum message size",
                 );
             }
         }
-        let message = Message::from_wire(body_wire).unwrap_or_else(|| {
-            // Bots sometimes send header-less junk; store it as a bare body.
-            Message::builder().body(body_wire).build()
-        });
-        let mut builder = Envelope::builder()
-            .client_ip(self.tx.client_ip)
-            .helo(&self.tx.helo)
-            .rcpts(self.tx.recipients.iter().cloned());
-        if let Some(mail_from) = self.tx.mail_from.clone() {
+        let mut builder =
+            Envelope::builder().client_ip(self.tx.client_ip).helo(&self.tx.helo).rcpts(recipients);
+        if let Some(mail_from) = mail_from {
             builder = builder.mail_from(mail_from);
         }
         let envelope = match builder.try_build() {
             Ok(envelope) => envelope,
             // A 354 is only issued after MAIL and RCPT, so this transaction
             // state is corrupt; fail the transaction, not the process.
-            Err(_) => {
-                self.state = SessionState::Ready;
-                self.tx.reset_mail();
-                return Reply::bad_sequence();
-            }
+            Err(_) => return Reply::bad_sequence(),
         };
-        self.state = SessionState::Ready;
-        self.tx.reset_mail();
+        let message = message();
         match policy.on_message(now, &envelope, &message).into_reply() {
             Some(r) => r,
             None => {
@@ -748,6 +779,60 @@ mod tests {
                 proptest::prop_assert!(Reply::from_wire(&r.to_wire()).is_some());
             }
         }
+    }
+
+    /// A session that has just answered DATA with 354, under a SIZE limit.
+    fn reading_data(size_limit: u64) -> ServerSession {
+        let caps = Capabilities { size_limit: Some(size_limit), ..Default::default() };
+        let mut s = session().with_capabilities(caps);
+        let mut p = AcceptAll;
+        s.open(NOW, &mut p);
+        s.handle(NOW, &cmd("EHLO relay.example"), &mut p);
+        s.handle(NOW, &cmd("MAIL FROM:<a@b.cc>"), &mut p);
+        s.handle(NOW, &cmd("RCPT TO:<x@foo.net>"), &mut p);
+        assert_eq!(s.handle(NOW, &cmd("DATA"), &mut p).code(), 354);
+        s
+    }
+
+    proptest::proptest! {
+        /// The in-memory handoff is a verified model of the wire path: a
+        /// message handed over typed gets the reply and the mailbox entry
+        /// its wire form (minus the CRLF the dot line supplies) gets, on
+        /// both sides of the SIZE limit.
+        #[test]
+        fn prop_handle_message_matches_handle_data_body(
+            headers in proptest::collection::vec(("[A-Za-z-]{1,16}", "\\PC{0,40}"), 0..5),
+            body in "[.a \r\n]{0,60}",
+            slack in 0u64..7,
+        ) {
+            let m = headers
+                .iter()
+                .fold(Message::builder(), |b, (n, v)| b.header(n, v))
+                .body(&body)
+                .build();
+            let wire = m.to_wire();
+            let payload = &wire[..wire.len() - 2];
+            let limit = (payload.len() as u64 + slack).saturating_sub(3);
+            let (mut typed, mut parsed) = (reading_data(limit), reading_data(limit));
+            let typed_reply = typed.handle_message(NOW, m, &mut AcceptAll);
+            let parsed_reply = parsed.handle_data_body(NOW, payload, &mut AcceptAll);
+            proptest::prop_assert_eq!(typed_reply.code(), parsed_reply.code());
+            proptest::prop_assert_eq!(typed.accepted(), parsed.accepted());
+            proptest::prop_assert_eq!(typed.metrics(), parsed.metrics());
+        }
+    }
+
+    #[test]
+    fn handle_message_runs_both_sides_of_the_size_limit() {
+        let m = Message::builder().header("Subject", "s").body("body").build();
+        let payload_len = m.size() as u64 - 2;
+        let mut at_limit = reading_data(payload_len);
+        assert_eq!(at_limit.handle_message(NOW, m.clone(), &mut AcceptAll).code(), 250);
+        assert_eq!(at_limit.accepted()[0].1, m);
+        let mut over = reading_data(payload_len - 1);
+        assert_eq!(over.handle_message(NOW, m, &mut AcceptAll).code(), 552);
+        assert!(over.accepted().is_empty());
+        assert_eq!(over.state(), SessionState::Ready);
     }
 
     #[test]

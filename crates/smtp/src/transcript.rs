@@ -122,8 +122,8 @@ impl SessionObserver for Transcript {
         self.entries.push(match event {
             SessionEvent::Pregreet => (ClientToServer, "<talks before banner>".to_owned()),
             SessionEvent::Command(cmd) => (ClientToServer, cmd.to_wire().trim_end().to_owned()),
-            SessionEvent::Body(body) => {
-                (ClientToServer, format!("<{} bytes of data>", dot_stuff(body).len()))
+            SessionEvent::Body(message) => {
+                (ClientToServer, format!("<{} bytes of data>", dot_stuff(&message.to_wire()).len()))
             }
             SessionEvent::Reply(reply) => (ServerToClient, reply.to_wire().trim_end().to_owned()),
         });

@@ -4,6 +4,7 @@
 use crate::client::{ClientAction, ClientSession, DeliveryOutcome};
 use crate::command::Command;
 use crate::extensions::Capabilities;
+use crate::message::Message;
 use crate::reply::Reply;
 use crate::server::{ServerPolicy, ServerSession};
 use crate::transcript::Transcript;
@@ -72,8 +73,8 @@ pub enum SessionEvent<'a> {
     Pregreet,
     /// The client sent a command.
     Command(&'a Command),
-    /// The client sent the message body (before dot-stuffing).
-    Body(&'a str),
+    /// The client sent the message body.
+    Body(&'a Message),
     /// The server answered; the banner comes first.
     Reply(&'a Reply),
 }
@@ -157,19 +158,12 @@ impl SessionObserver for PipelinedRoundTrips {
     }
 }
 
-/// What the server reads for a DATA `body` once the client has dot-stuffed
-/// it and the server un-stuffed it: the body minus one trailing CRLF (both
-/// forms are the same wire bytes), i.e. `dot_unstuff(&dot_stuff(body))`
-/// without building either string.
-fn data_payload(body: &str) -> &str {
-    body.strip_suffix("\r\n").unwrap_or(body)
-}
-
 /// Runs a [`ClientSession`] against a [`ServerSession`] to completion,
 /// telling `observer` every line, and returns the delivery outcome.
 ///
 /// The driver is lock-step: every client command gets exactly one server
-/// reply. Transport-level failures (refused/timed-out connections) never
+/// reply, and the DATA body moves from client to server as a typed
+/// [`Message`], never as wire text. Transport-level failures (refused/timed-out connections) never
 /// reach this function — model those with
 /// [`DeliveryOutcome::connect_failed`].
 ///
@@ -206,9 +200,10 @@ pub fn drive(
                     server.handle(now, &cmd, policy)
                 }
             }
-            ClientAction::SendBody(body) => {
-                observer.observe(SessionEvent::Body(&body));
-                server.handle_data_body(now, data_payload(&body), policy)
+            ClientAction::SendBody => {
+                let message = client.take_message();
+                observer.observe(SessionEvent::Body(&message));
+                server.handle_message(now, message, policy)
             }
             ClientAction::Close(outcome) => return outcome,
         };
@@ -538,27 +533,6 @@ mod tests {
         assert_eq!(counter.lines(), 1 + 2 * 6);
     }
 
-    /// Every string of length <= 7 over the characters that matter to
-    /// dot-stuffing: the borrowed payload is exactly the DATA round trip.
-    #[test]
-    fn data_payload_is_the_dot_roundtrip_exhaustively() {
-        let alphabet = ['.', 'a', '\r', '\n'];
-        let mut bodies = vec![String::new()];
-        let mut checked = 0;
-        for _ in 0..=7 {
-            for body in &bodies {
-                let roundtrip = dot_unstuff(&dot_stuff(body)).unwrap();
-                assert_eq!(data_payload(body), roundtrip, "{body:?}");
-                checked += 1;
-            }
-            bodies = bodies
-                .iter()
-                .flat_map(|b| alphabet.iter().map(move |c| format!("{b}{c}")))
-                .collect();
-        }
-        assert_eq!(checked, (0..=7).map(|n| 4usize.pow(n)).sum::<usize>());
-    }
-
     proptest! {
         #[test]
         fn prop_dot_roundtrip(body in "[a-zA-Z0-9.\r\n ]{0,120}") {
@@ -566,11 +540,6 @@ mod tests {
             let normalized = body.trim_end_matches("\r\n");
             let stuffed = dot_stuff(normalized);
             prop_assert_eq!(dot_unstuff(&stuffed).unwrap(), normalized);
-        }
-
-        #[test]
-        fn prop_data_payload_is_the_dot_roundtrip(body in "[.a\r\n ]{0,60}") {
-            prop_assert_eq!(data_payload(&body), dot_unstuff(&dot_stuff(&body)).unwrap());
         }
 
         #[test]
